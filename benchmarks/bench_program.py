@@ -10,6 +10,12 @@ result may not even fit.  This benchmark runs both on the
 never worse, reporting the latency delta and the tiered-search Tier-1
 evaluation counts.
 
+It also times the tiered search against exhaustive search on
+`fdtd-two-field` (four kernels, depth eight per stage: a
+9,216-candidate joint space).  Both must find the same best design,
+and the tiered search must not be slower: its wall time over the
+exhaustive one is gated by ``--max-tiered-ratio`` (default 1.0).
+
 Also usable as a standalone script (the mode CI's program smoke
 drives)::
 
@@ -19,6 +25,7 @@ drives)::
 import argparse
 import json
 import sys
+import time
 
 from repro.dse import ResourceBudget, SearchDriver
 from repro.fpga.resources import VIRTEX7_690T
@@ -78,6 +85,42 @@ def _compare(grid=(64, 64), chunk_size=64):
     }
 
 
+def _tiered_vs_exhaustive(repeats=3, iterations=40):
+    """Best-of-``repeats`` wall time of both searches on fdtd-two-field."""
+    program = get_program("fdtd-two-field", iterations=iterations)
+    knobs = {"max_kernels": 4, "max_fused_depth": 8}
+    row = {"program": program.name, "knobs": knobs}
+    answers = {}
+    for mode, screen in (("tiered", "pareto"), ("exhaustive", None)):
+        times = []
+        for _ in range(repeats):
+            driver = SearchDriver(evaluator=ProgramEvaluator(), screen=screen)
+            start = time.perf_counter()
+            result = optimize_program(program, driver=driver, **knobs)
+            times.append(time.perf_counter() - start)
+        answers[mode] = (
+            result.best.design.signature(),
+            result.best.predicted_cycles,
+        )
+        row[f"{mode}_s"] = min(times)
+        row[f"{mode}_tier1_evaluations"] = driver.report.tier1_evaluations
+    assert answers["tiered"] == answers["exhaustive"], answers
+    row["candidates"] = result.evaluated
+    row["tiered_ratio"] = row["tiered_s"] / row["exhaustive_s"]
+    return row
+
+
+def test_tiered_not_slower_than_exhaustive(benchmark, record):
+    row = benchmark.pedantic(_tiered_vs_exhaustive, rounds=1, iterations=1)
+    record(
+        "Program DSE",
+        f"{row['program']}: tiered {row['tiered_s']:.3f} s vs exhaustive "
+        f"{row['exhaustive_s']:.3f} s over {row['candidates']} candidates "
+        f"(ratio {row['tiered_ratio']:.2f})",
+    )
+    assert row["tiered_ratio"] <= 1.0, row
+
+
 def test_co_optimization_no_worse(benchmark, record):
     result = benchmark.pedantic(_compare, rounds=1, iterations=1)
     delta = result["latency_delta_pct"]
@@ -106,6 +149,15 @@ def main(argv=None):
         help="candidates per tiered-search chunk",
     )
     parser.add_argument(
+        "--max-tiered-ratio",
+        type=float,
+        default=1.0,
+        help=(
+            "fail unless the tiered fdtd-two-field search takes at most "
+            "this fraction of the exhaustive search's wall time"
+        ),
+    )
+    parser.add_argument(
         "--json-out",
         default=None,
         help="write the comparison record as JSON to this path",
@@ -131,10 +183,25 @@ def main(argv=None):
     else:
         print("independent:      composed design infeasible")
 
+    row = _tiered_vs_exhaustive()
+    result["tiered_vs_exhaustive"] = row
+    print(
+        f"{row['program']}:   tiered {row['tiered_s']:.3f} s vs "
+        f"exhaustive {row['exhaustive_s']:.3f} s over "
+        f"{row['candidates']} candidates (ratio {row['tiered_ratio']:.2f}, "
+        f"gate <= {args.max_tiered_ratio:.2f})"
+    )
+
     if args.json_out:
         with open(args.json_out, "w") as fh:
             json.dump(result, fh, indent=2)
         print(f"wrote {args.json_out}")
+    if row["tiered_ratio"] > args.max_tiered_ratio:
+        print(
+            f"FAIL: tiered/exhaustive wall-time ratio "
+            f"{row['tiered_ratio']:.2f} > {args.max_tiered_ratio:.2f}"
+        )
+        return 1
     return 0
 
 

@@ -381,6 +381,15 @@ def _cmd_serve(args, session: _StoreSession) -> List[str]:
     else:
         server = make_server(service, host=args.host, port=args.port)
     host, port = server.server_address[:2]
+
+    def _stop(_signum, _frame):
+        # shutdown() must not run on the serving thread.
+        threading.Thread(target=server.shutdown, daemon=True).start()
+
+    # Handlers go in before the ready line: a supervisor may signal as
+    # soon as it reads it.
+    signal.signal(signal.SIGTERM, _stop)
+    signal.signal(signal.SIGINT, _stop)
     print(
         f"repro synthesis service listening on http://{host}:{port} "
         f"({workers_desc}, {args.frontend} frontend, "
@@ -390,13 +399,6 @@ def _cmd_serve(args, session: _StoreSession) -> List[str]:
         f"{telemetry_path if telemetry_path else 'none'})",
         flush=True,
     )
-
-    def _stop(_signum, _frame):
-        # shutdown() must not run on the serving thread.
-        threading.Thread(target=server.shutdown, daemon=True).start()
-
-    signal.signal(signal.SIGTERM, _stop)
-    signal.signal(signal.SIGINT, _stop)
     try:
         server.serve_forever()
     finally:

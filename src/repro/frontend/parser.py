@@ -166,7 +166,14 @@ class Parser:
         token = self.peek()
         if token.kind is TokenKind.NUMBER:
             self.advance()
-            return Number(float(token.text))
+            try:
+                return Number(float(token.text))
+            except ValueError:
+                raise ParseError(
+                    f"Malformed number literal {token.text!r}",
+                    token.line,
+                    token.column,
+                ) from None
         if token.kind is TokenKind.LPAREN:
             self.advance()
             inner = self.parse_expression()

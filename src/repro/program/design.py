@@ -20,7 +20,7 @@ evaluator memo and the persistent design store.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Tuple
+from typing import Tuple
 
 from repro.errors import DesignSpaceError
 from repro.program.spec import ProgramSpec
@@ -87,10 +87,6 @@ class ProgramDesign:
         raise DesignSpaceError(
             f"Program design has no stage {stage_name!r}"
         )
-
-    def designs(self) -> Dict[str, StencilDesign]:
-        """Stage designs keyed by stage name (topological order)."""
-        return dict(self.stage_designs)
 
     def signature(self) -> Tuple:
         """Canonical hashable identity of the mapped program."""

@@ -125,9 +125,7 @@ def _resolve_program_evaluator(
                 "ProgramEvaluator(stage_engine=...) first"
             )
         return engine
-    if evaluator is not None:
-        return evaluator
-    return ProgramEvaluator(board=board)
+    return evaluator or ProgramEvaluator(board=board)
 
 
 def optimize_program(
@@ -174,15 +172,14 @@ def optimize_program(
     engine = _resolve_program_evaluator(evaluator, board, driver)
     if budget is None:
         budget = ResourceBudget.from_device(device)
+    caps = dict(
+        unroll=unroll,
+        max_kernels=max_kernels,
+        max_fused_depth=max_fused_depth,
+        max_tile_options=max_tile_options,
+    )
     options = {
-        stage.name: stage_design_options(
-            stage.spec,
-            kinds=kinds,
-            unroll=unroll,
-            max_kernels=max_kernels,
-            max_fused_depth=max_fused_depth,
-            max_tile_options=max_tile_options,
-        )
+        stage.name: stage_design_options(stage.spec, kinds=kinds, **caps)
         for stage in program.stages
     }
     candidates = program_candidates(program, options, schedule)
@@ -197,11 +194,8 @@ def optimize_program(
             "program": program.signature(),
             "schedule": schedule,
             "kinds": [k.value for k in kinds],
-            "unroll": unroll,
-            "max_kernels": max_kernels,
-            "max_fused_depth": max_fused_depth,
-            "max_tile_options": max_tile_options,
             "budget": budget.label,
+            **caps,
         }
         key = f"{prefix}:program:{digest(identity)[:12]}"
     return driver.run(candidates, budget, key=key)

@@ -6,10 +6,9 @@ tiered :class:`~repro.dse.search.SearchDriver` drives —
 plus the ``board`` / ``fidelity`` / ``estimator`` attributes — but
 over :class:`~repro.program.design.ProgramDesign` candidates.  Every
 per-stage number comes from a wrapped
-:class:`~repro.dse.evaluator.CandidateEvaluator` (so its signature
-memo, persistent store, and batch-engine fast paths are shared with
-single-stencil searches on the same engine), and the composition rules
-of :mod:`repro.program.model` turn stage numbers into program totals.
+:class:`~repro.dse.evaluator.CandidateEvaluator`'s model and estimator;
+searches score each distinct stage design once into a stage table and
+compose whole chunks in numpy (:mod:`repro.program.model`).
 
 Program-level results are themselves memoized and store-backed under
 the :meth:`~repro.program.design.ProgramDesign.signature`, so a
@@ -18,6 +17,7 @@ program search warm-starts exactly like a single-stencil one.
 
 from __future__ import annotations
 
+import functools
 import threading
 import time
 from collections import OrderedDict
@@ -33,28 +33,25 @@ from repro.dse.evaluator import (
     EvaluationStats,
 )
 from repro.errors import DesignSpaceError
-from repro.fpga.batch import estimate_batch
 from repro.fpga.estimator import DesignResources
-from repro.model.batch import (
-    BatchRangeError,
-    lower_bound_batch,
-    predict_batch,
-)
 from repro.model.predictor import Fidelity
 from repro.opencl.platform import ADM_PCIE_7V3, BoardSpec
 from repro.program.design import ProgramDesign
 from repro.program.model import (
+    ProgramBatchPrediction,
+    StageTable,
     compose_cycles,
     compose_resources,
-    program_lower_bound,
+    predict_program_batch,
+    score_stages,
 )
 from repro.store.backing import BackingStore, evaluation_context
-from repro.tiling.design import StencilDesign
 
 _log = obs.get_logger("program")
 
-#: Smallest batch worth a vectorized stage-priming pass.
-_VECTOR_MIN_BATCH = 2
+#: Stage-table rows kept across searches; one search needs at most the
+#: sum of its per-stage option counts.
+_STAGE_TABLE_ROWS = 4096
 
 
 class ProgramEvaluator:
@@ -71,8 +68,9 @@ class ProgramEvaluator:
         store: optional persistent backing store for *program-level*
             entries; defaults to the stage engine's store, so one
             store serves both granularities.
-        vectorize: batch-scoring mode for the stage-priming pass —
-            ``None`` (auto: batches of 2+), ``True``, or ``False``.
+
+    Stage designs are scored through the batch engines unless the
+    stage engine was built with ``vectorize=False``.
     """
 
     def __init__(
@@ -81,20 +79,14 @@ class ProgramEvaluator:
         fidelity: Fidelity = Fidelity.REFINED,
         stage_engine: Optional[CandidateEvaluator] = None,
         store: Optional[BackingStore] = None,
-        vectorize: Optional[bool] = None,
     ):
         if stage_engine is None:
-            stage_engine = CandidateEvaluator(
-                board=board, fidelity=fidelity, vectorize=vectorize
-            )
+            stage_engine = CandidateEvaluator(board=board, fidelity=fidelity)
         self.stage_engine = stage_engine
         self.board = stage_engine.board
         self.fidelity = stage_engine.fidelity
         self.estimator = stage_engine.estimator
         self.model = stage_engine.model
-        self.vectorize = (
-            stage_engine.vectorize if vectorize is None else vectorize
-        )
         self.store = store if store is not None else stage_engine.store
         self.store_context = (
             evaluation_context(self.board, self.fidelity, self.estimator.flexcl)
@@ -105,89 +97,24 @@ class ProgramEvaluator:
         self.stats = EvaluationStats()
         self._results: "OrderedDict[Tuple, EvaluatedDesign]" = OrderedDict()
         self._lock = threading.Lock()
+        self._stages = StageTable(
+            functools.partial(score_stages, engine=stage_engine),
+            _STAGE_TABLE_ROWS,
+        )
 
     # -- composed primitives ---------------------------------------------------
 
     def resources(self, design: ProgramDesign) -> DesignResources:
         """Composed program resources (stage estimates are memoized)."""
-        stage_res = [
-            self.stage_engine.resources(d)
-            for _name, d in design.stage_designs
-        ]
-        return compose_resources(design.schedule, stage_res)
+        estimate = self.stage_engine.resources
+        stages = [estimate(d) for _name, d in design.stage_designs]
+        return compose_resources(design.schedule, stages)
 
     def predict_cycles(self, design: ProgramDesign) -> float:
         """Composed program latency (stage predictions are memoized)."""
-        cycles = [
-            self.stage_engine.model.predict_cycles_cached(d)
-            for _name, d in design.stage_designs
-        ]
+        predict = self.stage_engine.model.predict_cycles_cached
+        cycles = [predict(d) for _name, d in design.stage_designs]
         return compose_cycles(design, cycles, self.board)
-
-    def lower_bound(self, design: ProgramDesign) -> float:
-        """Admissible composed program lower bound (cycles)."""
-        bounds = [
-            self.stage_engine.lower_bound(d)
-            for _name, d in design.stage_designs
-        ]
-        return program_lower_bound(design, bounds, self.board)
-
-    # -- store + memo plumbing -------------------------------------------------
-
-    def _store_lookup(self, design: ProgramDesign):
-        if self.store is None:
-            return None
-        return self.store.lookup_design(design, self.store_context)
-
-    def _store_record(
-        self,
-        design: ProgramDesign,
-        cycles: Optional[float] = None,
-        resources: Optional[DesignResources] = None,
-    ) -> None:
-        if self.store is None:
-            return
-        self.store.record_design(
-            design, self.store_context, cycles=cycles, resources=resources
-        )
-
-    # -- vectorized stage priming ----------------------------------------------
-
-    def _prime_stages(self, candidates: Sequence[ProgramDesign]) -> None:
-        """Pre-score all fresh stage designs in two batched passes.
-
-        Primes the stage model's and estimator's signature caches with
-        the (bitwise-identical) batch-engine results, so the scalar
-        composition loop below never runs the scalar model.  Skipped
-        silently when vectorization is off, the batch is tiny, or any
-        stage is outside the batch engines' exact-parity range.
-        """
-        if self.vectorize is False:
-            return
-        unique: "OrderedDict[Tuple, StencilDesign]" = OrderedDict()
-        for pdesign in candidates:
-            for _name, d in pdesign.stage_designs:
-                unique.setdefault(d.signature(), d)
-        if self.vectorize is None and len(unique) < _VECTOR_MIN_BATCH:
-            return
-        designs = list(unique.values())
-        if not designs:
-            return
-        try:
-            prediction = predict_batch(
-                designs,
-                board=self.board,
-                fidelity=self.fidelity,
-                flexcl=self.model.estimator,
-            )
-            resources = estimate_batch(
-                designs, flexcl=self.estimator.flexcl
-            )
-        except BatchRangeError:
-            return
-        for i, d in enumerate(designs):
-            self.model.prime(d, prediction.breakdown(i))
-            self.estimator.prime(d, resources.design_resources(i))
 
     # -- tier-0 screening ------------------------------------------------------
 
@@ -202,93 +129,29 @@ class ProgramEvaluator:
         :meth:`CandidateEvaluator.screen_batch` does, but composed
         along each candidate's DAG: the shared-budget feasibility
         verdict, the admissible composed lower bound, and the composed
-        BRAM18 count.  Nothing is memoized — screening a huge product
-        space leaves the caches O(chunk).
+        BRAM18 count.  Only stage designs are memoized, in a stage
+        table bounded by the sum of the per-stage option counts (and
+        restarted past a row cap across searches), so screening a huge
+        product space stays O(chunk).
         """
-        candidates = list(candidates)
-        if not candidates:
-            return [], [], []
-        flat: List[StencilDesign] = []
-        offsets: List[int] = []
-        for pdesign in candidates:
-            offsets.append(len(flat))
-            flat.extend(d for _name, d in pdesign.stage_designs)
-        offsets.append(len(flat))
-        stage_res: Optional[List[DesignResources]] = None
-        stage_bounds: Optional[List[float]] = None
-        if self.vectorize is not False:
-            try:
-                batch_res = estimate_batch(
-                    flat, flexcl=self.estimator.flexcl
-                )
-                batch_bounds = lower_bound_batch(
-                    flat,
-                    fidelity=self.fidelity,
-                    flexcl=self.model.estimator,
-                )
-                stage_res = [
-                    batch_res.design_resources(j) for j in range(len(flat))
-                ]
-                stage_bounds = [float(b) for b in batch_bounds]
-            except BatchRangeError:
-                stage_res = None
-        if stage_res is None:
-            stage_res = []
-            stage_bounds = []
-            for d in flat:
-                report = self.model.pipeline_report(d)
-                # An explicit report bypasses the estimator's signature
-                # cache: tier-0 rejects must not grow it.
-                stage_res.append(self.estimator.estimate(d, report))
-                stage_bounds.append(self.stage_engine.lower_bound(d))
-        feasible: List[bool] = []
-        bounds: List[float] = []
-        bram: List[int] = []
-        for i, pdesign in enumerate(candidates):
-            lo, hi = offsets[i], offsets[i + 1]
-            composed = compose_resources(
-                pdesign.schedule, stage_res[lo:hi]
-            )
-            feasible.append(composed.total.fits_within(budget.limit))
-            bounds.append(
-                program_lower_bound(
-                    pdesign, stage_bounds[lo:hi], self.board
-                )
-            )
-            bram.append(composed.total.bram18)
-        return feasible, bounds, bram
+        composed = predict_program_batch(
+            candidates, self.board, table=self._stages
+        )
+        return (
+            composed.feasible(budget.limit).tolist(),
+            composed.bounds.tolist(),
+            composed.bram18.tolist(),
+        )
 
     # -- tier-1 evaluation -----------------------------------------------------
-
-    def _evaluate_one(
-        self,
-        design: ProgramDesign,
-        budget: ResourceBudget,
-        stats: EvaluationStats,
-    ) -> Optional[EvaluatedDesign]:
-        result, outcome = self._score_one(design, budget, stats)
-        # Every composed candidate flows through the stage engine's
-        # per-candidate hook, exactly like single-stencil candidates
-        # do — the synthesis service's cancellation point lives there,
-        # so a program exploration aborts within one candidate too.
-        self.stage_engine._emit(
-            CandidateTrace(
-                design=design,
-                outcome=outcome,
-                predicted_cycles=(
-                    result.predicted_cycles
-                    if result is not None
-                    else None
-                ),
-            )
-        )
-        return result
 
     def _score_one(
         self,
         design: ProgramDesign,
         budget: ResourceBudget,
         stats: EvaluationStats,
+        composed: ProgramBatchPrediction,
+        i: int,
     ) -> Tuple[Optional[EvaluatedDesign], str]:
         stats.candidates += 1
         sig = design.signature()
@@ -300,7 +163,11 @@ class ProgramEvaluator:
                 stats.infeasible += 1
                 return None, "infeasible"
             return cached, "cache-hit"
-        stored = self._store_lookup(design)
+        stored = (
+            self.store.lookup_design(design, self.store_context)
+            if self.store is not None
+            else None
+        )
         if stored is not None and stored.complete:
             result = EvaluatedDesign(design, stored.cycles, stored.resources)
             with self._lock:
@@ -310,14 +177,18 @@ class ProgramEvaluator:
                 stats.infeasible += 1
                 return None, "infeasible"
             return result, "store-hit"
-        resources = self.resources(design)
-        if not resources.total.fits_within(budget.limit):
+        resources = composed.design_resources(i)
+        cycles = None
+        if resources.total.fits_within(budget.limit):
+            cycles = float(composed.total[i])
+        if self.store is not None:
+            self.store.record_design(
+                design, self.store_context, cycles=cycles, resources=resources
+            )
+        if cycles is None:
             stats.infeasible += 1
-            self._store_record(design, resources=resources)
             return None, "infeasible"
-        cycles = self.predict_cycles(design)
         stats.evaluated += 1
-        self._store_record(design, cycles=cycles, resources=resources)
         result = EvaluatedDesign(design, cycles, resources)
         with self._lock:
             result = self._results.setdefault(sig, result)
@@ -337,11 +208,32 @@ class ProgramEvaluator:
             candidates=len(candidates),
             budget=budget.label,
         ):
-            self._prime_stages(candidates)
-            results = [
-                self._evaluate_one(design, budget, delta)
-                for design in candidates
-            ]
+            # Memo and store hits are composed too: one vectorized pass
+            # costs less than sorting them out first.
+            composed = predict_program_batch(
+                candidates, self.board, table=self._stages
+            )
+            results = []
+            for i, design in enumerate(candidates):
+                result, outcome = self._score_one(
+                    design, budget, delta, composed, i
+                )
+                # Every composed candidate flows through the stage
+                # engine's per-candidate hook, exactly like
+                # single-stencil candidates do — the synthesis
+                # service's cancellation point lives there, so a
+                # program exploration aborts within one candidate too.
+                self.stage_engine._emit(
+                    CandidateTrace(
+                        design=design,
+                        outcome=outcome,
+                        predicted_cycles=(
+                            None if result is None
+                            else result.predicted_cycles
+                        ),
+                    )
+                )
+                results.append(result)
         delta.wall_time_s = time.perf_counter() - start
         if stats is not None:
             stats.merge(delta)
@@ -414,6 +306,9 @@ class ProgramEvaluator:
             return len(self._results)
 
     def clear_cache(self) -> None:
-        """Drop every memoized program evaluation (stats preserved)."""
+        """Drop every memoized program evaluation and stage-table row
+        (stats preserved)."""
         with self._lock:
             self._results.clear()
+        with self._stages.lock:
+            self._stages.clear()

@@ -37,7 +37,12 @@ from typing import Dict, Optional, Tuple
 from repro import obs
 from repro.errors import ServiceError
 from repro.service.core import SynthesisService
-from repro.service.routes import Response, handle_request
+from repro.service.routes import (
+    Response,
+    content_length,
+    handle_request,
+    to_json_bytes,
+)
 
 _log = obs.get_logger("service.http")
 
@@ -243,7 +248,9 @@ class AsyncFrontDoor:
                 if head is None:
                     return  # client closed between requests
                 method, target, version, headers = head
-                length = int(_header(headers, "Content-Length") or 0)
+                length = content_length(_header(headers, "Content-Length"))
+                if length is None:
+                    raise _BadRequest("invalid Content-Length")
                 if length > MAX_BODY_BYTES:
                     writer.write(
                         _render(
@@ -282,10 +289,7 @@ class AsyncFrontDoor:
             try:
                 writer.write(
                     _render(
-                        Response(
-                            400,
-                            f'{{"error": "{exc}"}}\n'.encode("utf-8"),
-                        ),
+                        Response(400, to_json_bytes({"error": str(exc)})),
                         keep_alive=False,
                     )
                 )

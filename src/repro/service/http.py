@@ -45,7 +45,12 @@ from typing import Tuple
 
 from repro import obs
 from repro.service.core import SynthesisService
-from repro.service.routes import Response, handle_request, to_json_bytes
+from repro.service.routes import (
+    Response,
+    content_length,
+    handle_request,
+    to_json_bytes,
+)
 
 __all__ = [
     "ServiceHTTPServer",
@@ -75,7 +80,16 @@ class _Handler(BaseHTTPRequestHandler):
     def _dispatch(self, method: str) -> None:
         body = None
         if method == "POST":
-            length = int(self.headers.get("Content-Length", 0) or 0)
+            length = content_length(self.headers.get("Content-Length"))
+            if length is None:
+                # The body's extent is unknown: answer, then hang up.
+                self.close_connection = True
+                self._send(
+                    Response(
+                        400, to_json_bytes({"error": "invalid Content-Length"})
+                    )
+                )
+                return
             body = self.rfile.read(length) if length else b""
         response = handle_request(
             self.service, method, self.path, self.headers, body

@@ -52,6 +52,19 @@ def to_json_bytes(payload: Any) -> bytes:
     ).encode("utf-8")
 
 
+def content_length(value: Optional[str]) -> Optional[int]:
+    """A request's ``Content-Length`` in bytes (0 when absent).
+
+    ``None`` when the header is not a non-negative decimal integer:
+    the body's extent is then unknown, so both front doors answer 400
+    and close the connection.
+    """
+    value = (value or "0").strip()
+    if not (value.isascii() and value.isdigit()):
+        return None
+    return int(value)
+
+
 @dataclass(frozen=True)
 class Response:
     """One fully-rendered API response, transport-independent."""

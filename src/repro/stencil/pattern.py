@@ -161,7 +161,11 @@ class StencilPattern:
         Two patterns with equal signatures produce identical model and
         resource estimates, so the signature is usable as a cache key
         (``updates`` is a mapping and therefore unhashable directly).
+        Cached on the instance, as :meth:`StencilDesign.signature` is.
         """
+        cached = self.__dict__.get("_signature")
+        if cached is not None:
+            return cached
         updates = tuple(
             (
                 fname,
@@ -173,7 +177,9 @@ class StencilPattern:
             )
             for fname in sorted(self.updates)
         )
-        return (self.name, self.ndim, self.fields, self.aux, updates)
+        cached = (self.name, self.ndim, self.fields, self.aux, updates)
+        object.__setattr__(self, "_signature", cached)
+        return cached
 
     @property
     def halo_growth(self) -> Tuple[int, ...]:

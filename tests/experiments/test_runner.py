@@ -1,5 +1,11 @@
 """Tests for the CLI runner."""
 
+import os
+import pathlib
+import signal
+import subprocess
+import sys
+
 import pytest
 
 from repro.experiments.runner import main
@@ -77,3 +83,35 @@ class TestCli:
         assert "baseline" in out
         assert "hetero" in out
         assert "speedup" in out
+
+
+_REPO_ROOT = pathlib.Path(__file__).resolve().parents[2]
+
+
+@pytest.mark.parametrize("frontend", ["threaded", "async"])
+def test_serve_drains_on_sigterm_right_after_ready_line(frontend):
+    """The ready line promises the signal handlers are installed."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(_REPO_ROOT / "src"), env.get("PYTHONPATH")])
+    )
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "repro.experiments", "serve", "--port", "0",
+         "--workers", "1", "--frontend", frontend],
+        env=env,
+        cwd=str(_REPO_ROOT),
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+    )
+    try:
+        ready = proc.stdout.readline()
+        assert "listening on http://" in ready, ready
+        proc.send_signal(signal.SIGTERM)
+        out, err = proc.communicate(timeout=60)
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.communicate()
+    assert proc.returncode == 0, err
+    assert "Drained: 0 completed" in out

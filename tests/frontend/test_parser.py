@@ -75,6 +75,15 @@ class TestExpressions:
         with pytest.raises(ParseError):
             parse_expr("a +")
 
+    @pytest.mark.parametrize("literal", ["4e", "1.5e+", "2E-"])
+    def test_malformed_number_literal(self, literal):
+        with pytest.raises(ParseError, match="Malformed number literal"):
+            parse_expr(f"{literal} * a")
+
+    def test_malformed_literal_in_kernel_body(self):
+        with pytest.raises(ParseError, match="line 1"):
+            parse_kernel_body("B[i] = 4e * A[i];")
+
 
 class TestStatements:
     def test_assignment(self):

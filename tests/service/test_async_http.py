@@ -203,6 +203,22 @@ class TestAsyncTransport:
             reply = raw.recv(4096)
         assert reply.startswith(b"HTTP/1.1 400 ")
 
+    def test_bad_request_body_is_json_even_with_quotes(self, async_served):
+        _, client = async_served(pipeline=echo_pipeline)
+        host, port = (
+            client.base_url.replace("http://", "").split(":")
+        )
+        with socket.create_connection(
+            (host, int(port)), timeout=10
+        ) as raw:
+            raw.sendall(b"GET /healthz HTTP/1.1\r\nit's-bad\r\n\r\n")
+            reply = b""
+            while chunk := raw.recv(4096):
+                reply += chunk
+        assert reply.startswith(b"HTTP/1.1 400 ")
+        error = json.loads(reply.partition(b"\r\n\r\n")[2])["error"]
+        assert "malformed header line" in error
+
     def test_client_disconnect_counted_not_crashed(self, async_served):
         obs.enable(capture_events=False)
         service, client = async_served(pipeline=echo_pipeline)
@@ -291,3 +307,47 @@ class TestLifecycle:
             blocker.close()
             door.shutdown()
             service.shutdown(drain=False, timeout=10.0)
+
+
+class TestContentLength:
+    """Both front doors answer a bad ``Content-Length`` with a JSON 400."""
+
+    @pytest.fixture(params=["threaded", "async"])
+    def door_address(self, request):
+        service = SynthesisService(workers=1, pipeline=echo_pipeline)
+        if request.param == "async":
+            door = make_async_server(service, port=0)
+            stop = door.shutdown
+        else:
+            door = make_server(service, port=0)
+            thread = threading.Thread(target=door.serve_forever, daemon=True)
+            thread.start()
+
+            def stop():
+                door.shutdown()
+                door.server_close()
+
+        try:
+            yield door.server_address[:2]
+        finally:
+            stop()
+            service.shutdown(drain=False, timeout=10.0)
+
+    @pytest.mark.parametrize("value", ["abc", "-5", "1e3", "+7"])
+    def test_invalid_content_length_is_400_json(self, door_address, value):
+        head = (
+            f"POST /jobs HTTP/1.1\r\nHost: test\r\n"
+            f"Content-Length: {value}\r\n\r\n"
+        )
+        with socket.create_connection(door_address, timeout=10) as raw:
+            raw.sendall(head.encode("latin-1") + b"{}")
+            reply = b""
+            while True:
+                chunk = raw.recv(4096)
+                if not chunk:
+                    break  # the door hangs up: the body extent is unknown
+                reply += chunk
+        status_line, _, rest = reply.partition(b"\r\n")
+        assert status_line.startswith(b"HTTP/1.1 400 ")
+        body = rest.partition(b"\r\n\r\n")[2]
+        assert json.loads(body) == {"error": "invalid Content-Length"}
